@@ -151,42 +151,39 @@ def test_ablation_prop_o_selection_policy(benchmark, emit, workers):
 
 def test_ablation_timed_vs_instantaneous_engine(benchmark, emit):
     """Fidelity ablation: do message latencies change the story?  The
-    timed engine delays every probe by its walk + collection time and
-    re-checks Var at commit (stale probes abort); the converged quality
-    should match the instantaneous abstraction the paper uses."""
-    from repro.core.timed_protocol import TimedPROPEngine
-    from repro.harness.experiment import build_world
+    message plane (``transport="sim"``) delays every probe by its walk +
+    collection time and re-checks Var when the participant votes (stale
+    proposals abort); the converged quality should match the
+    instantaneous abstraction the paper uses."""
+    from repro.harness.experiment import run_experiment
 
-    def run_pair():
-        out = {}
-        for label, timed in (("instantaneous", False), ("timed", True)):
-            cfg = paper_config(
-                overlay_kind="gnutella", prop=PROPConfig(policy="G"), duration=3600.0
-            )
-            w = build_world(cfg)
-            if timed:
-                # replace the engine with the timed variant on the same world
-                from repro.netsim.rng import RngRegistry
+    cfg = paper_config(
+        overlay_kind="gnutella", prop=PROPConfig(policy="G"), duration=3600.0
+    )
+    configs = {"instantaneous": cfg, "message plane": cfg.but(transport="sim")}
+    results = run_once(
+        benchmark,
+        lambda: {
+            label: run_experiment(c, measure_lookups=False)
+            for label, c in configs.items()
+        },
+    )
 
-                w.sim = type(w.sim)()  # fresh simulator (drops queued probes)
-                w.engine = TimedPROPEngine(w.overlay, cfg.prop, w.sim, RngRegistry(cfg.seed))
-                w.engine.start()
-            w.sim.run_until(3600.0)
-            out[label] = (
-                w.overlay.mean_logical_edge_latency(),
-                w.engine.counters.exchanges,
-                getattr(w.engine, "stale_aborts", 0),
-            )
-        return out
-
-    data = run_once(benchmark, run_pair)
-    rows = [[label, lat, ex, stale] for label, (lat, ex, stale) in data.items()]
+    rows = [
+        [
+            label,
+            r.link_stretch[-1],
+            r.final_counters.exchanges,
+            r.net_counters.stale_aborts if r.net_counters is not None else 0,
+        ]
+        for label, r in results.items()
+    ]
     emit(
-        "Ablation  instantaneous vs message-latency-aware engine (PROP-G / Gnutella)\n\n"
+        "Ablation  instantaneous vs message-plane engine (PROP-G / Gnutella)\n\n"
         + format_table(
-            ["engine", "final mean edge latency (ms)", "exchanges", "stale aborts"],
-            rows,
+            ["engine", "final link stretch", "exchanges", "stale aborts"], rows
         )
     )
-    inst, timed = data["instantaneous"], data["timed"]
-    assert timed[0] < 1.3 * inst[0]  # same convergence story
+    inst = results["instantaneous"].link_stretch[-1]
+    timed = results["message plane"].link_stretch[-1]
+    assert timed < 1.3 * inst  # same convergence story

@@ -9,8 +9,8 @@ throughput numbers the deployment plane is judged by:
 * **exchanges_per_s** — committed PROP exchanges per wall second, the
   useful-work rate behind that traffic.
 
-Both land in ``benchmarks/history.jsonl`` (one record per metric, keyed
-``live_swarm/<metric>``) so ``make bench-check`` gates regressions in
+Both land in ``benchmarks/history.jsonl`` (one ``live_swarm`` record,
+declaring both higher-is-better) so ``make bench-check`` gates drops in
 the live stack — codec, transport, scheduler — exactly as it gates the
 simulator benches.  Wall-clock measurement is legitimate here: the
 deployment plane *runs on* the wall clock; its wall-seconds figure is
@@ -59,7 +59,10 @@ def main() -> int:
     metrics = swarm_metrics(report)
     print(report.summary(), file=sys.stderr)
     print(json.dumps({"bench": "live_swarm", **metrics}, sort_keys=True))
-    record_history("live_swarm", metrics, config=CONFIG)
+    record_history(
+        "live_swarm", metrics, config=CONFIG,
+        higher=("msgs_per_s", "exchanges_per_s"),
+    )
     return 0
 
 

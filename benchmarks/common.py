@@ -85,13 +85,14 @@ def _history_path() -> Path | None:
     return Path(env)
 
 
-def record_history(bench: str, metrics: dict, *, config=None) -> None:
+def record_history(bench: str, metrics: dict, *, config=None, higher=()) -> None:
     """Append one schema-versioned record to the benchmark history.
 
     ``config`` (an :class:`ExperimentConfig`, when the bench has a
-    single defining one) supplies the fingerprint and seed; the
-    timestamp is stamped here, in the bench harness — wall clocks never
-    run inside the sim.
+    single defining one) supplies the fingerprint and seed; ``higher``
+    names the higher-is-better metrics (the gate reads the rest as
+    lower-is-better).  The timestamp is stamped here, in the bench
+    harness — wall clocks never run inside the sim.
     """
     path = _history_path()
     if path is None:
@@ -108,6 +109,7 @@ def record_history(bench: str, metrics: dict, *, config=None) -> None:
             metrics=metrics,
             git_rev=current_git_rev(Path(__file__).resolve().parent),
             timestamp=time.time(),
+            higher=higher,
         ),
     )
 

@@ -323,7 +323,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         profiler = None
         if args.profile:
-            from repro.harness.profiler import StageProfiler
+            from repro.obs.prof import StageProfiler
 
             profiler = StageProfiler()
         consumers = None

@@ -168,13 +168,25 @@ class PROPEngine:
     # -- probe cycle -------------------------------------------------------
 
     def _probe_cycle(self, u: int) -> None:
-        state = self.nodes[u]
-        success = self._attempt_exchange(u, state)
+        success = self._attempt_exchange(u, self.nodes[u])
+        self._finish_cycle(u, self.sim.now, s=None, success=success)
 
-        # Phase / timer bookkeeping.  The first-exchange trial count is
-        # recorded *before* the warm-up -> maintenance transition: an
-        # exchange landing on the final warm-up trial is a warm-up
-        # exchange (trial MAX_INIT_TRIAL), not a post-warm-up one.
+    def _finish_cycle(self, u: int, fire_time: float, *, s: int | None,
+                      success: bool) -> None:
+        """Queue feedback for ``s`` (when given), phase/timer bookkeeping,
+        and the next probe pinned to ``fire_time + delay``.
+
+        Both engines end every cycle here; pinning to the fire time (not
+        the resolution time) keeps the message plane's fire times aligned
+        with the inline engine (the determinism bridge).
+        """
+        state = self.nodes[u]
+        if s is not None:
+            (state.queue.on_success if success else state.queue.on_failure)(s)
+        # The first-exchange trial count is recorded *before* the warm-up
+        # -> maintenance transition: an exchange landing on the final
+        # warm-up trial is a warm-up exchange (trial MAX_INIT_TRIAL), not
+        # a post-warm-up one.
         if state.phase == _WARMUP:
             state.trials += 1
             if success:
@@ -188,7 +200,7 @@ class PROPEngine:
             delay = state.timer.on_success() if success else state.timer.on_failure()
             if success and state.probes_until_first_exchange is None:
                 state.probes_until_first_exchange = -1
-        self.sim.schedule(delay, self._probe_cycle, u)
+        self.sim.schedule_at(max(self.sim.now, fire_time + delay), self._probe_cycle, u)
 
     def _attempt_exchange(self, u: int, state: NodeState) -> bool:
         overlay = self.overlay
@@ -252,7 +264,7 @@ class PROPEngine:
             self.tracer.emit(VarCollectEvent, u=u, v=v, cycle=self.counters.probes,
                              var=float(var), policy=cfg.policy)
             if success:
-                # inline engines commit instantaneously: no 2PC, xid=-1
+                # the inline engine commits instantaneously: no 2PC, xid=-1
                 self.tracer.emit(ExchangeCommitEvent, xid=-1, u=u, v=v,
                                  var=float(var), traded=traded)
         if success:

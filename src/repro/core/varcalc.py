@@ -22,17 +22,21 @@ the pair trades the top-k prefix, with k <= m chosen to maximize the
 summed gain — handing over a neighbor with negative gain can never be
 forced by the equal-count constraint because the k-th pair is dropped
 whenever its combined gain is negative.
+
+A trade chosen earlier may be applied later (the message plane's
+two-phase commit): :func:`trade_legal` and :func:`trade_var` re-check a
+given trade against the current graph and embedding.
 """
 
 from __future__ import annotations
 
-from typing import Collection
+from typing import Collection, Sequence
 
 import numpy as np
 
 from repro.overlay.base import Overlay
 
-__all__ = ["evaluate_prop_g", "select_prop_o"]
+__all__ = ["evaluate_prop_g", "select_prop_o", "trade_legal", "trade_var"]
 
 
 def evaluate_prop_g(overlay: Overlay, u: int, v: int) -> float:
@@ -145,3 +149,36 @@ def select_prop_o(
     if var <= 0.0:
         return [], [], 0.0
     return [int(cu[i]) for i in order_u], [int(cv[i]) for i in order_v], var
+
+
+def trade_legal(overlay: Overlay, u: int, v: int, give_u: Sequence[int],
+                give_v: Sequence[int]) -> bool:
+    """May this PROP-O trade still be applied to the current graph?
+
+    Every handed-over neighbor must still be adjacent to its giver and
+    not yet adjacent to its taker (no lost edge, no duplicate edge).
+    """
+    for x in give_u:
+        if x == v or not overlay.has_edge(u, x) or overlay.has_edge(v, x):
+            return False
+    for y in give_v:
+        if y == u or not overlay.has_edge(v, y) or overlay.has_edge(u, y):
+            return False
+    return True
+
+
+def trade_var(overlay: Overlay, u: int, v: int, give_u: Sequence[int],
+              give_v: Sequence[int]) -> float:
+    """Var (eq. 2) of a given PROP-O trade on the current embedding."""
+    emb = overlay.embedding
+    oracle = overlay.oracle
+    var = 0.0
+    for x in give_u:
+        var += oracle.between(int(emb[u]), int(emb[x])) - oracle.between(
+            int(emb[v]), int(emb[x])
+        )
+    for y in give_v:
+        var += oracle.between(int(emb[v]), int(emb[y])) - oracle.between(
+            int(emb[u]), int(emb[y])
+        )
+    return var

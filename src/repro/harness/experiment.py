@@ -577,10 +577,10 @@ def run_experiment(
 
     The ``times[0]`` sample is taken *before* any protocol activity, so
     series are directly interpretable as improvement-over-initial.
-    ``profiler`` is an optional
-    :class:`~repro.harness.profiler.StageProfiler`; when given, the
-    wall-clock split between world building, event processing, and
-    metric sampling lands in the result's ``profile`` field.
+    ``profiler`` is an optional :class:`~repro.obs.prof.StageProfiler`;
+    when given, the wall-clock split between world building, event
+    processing, and metric sampling lands in the result's ``profile``
+    field.
 
     ``consumers`` are extra :class:`~repro.obs.trace.TraceConsumer`
     subscribers added to the run's tracer (requires ``config.trace`` or

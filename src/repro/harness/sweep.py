@@ -25,7 +25,7 @@ def _sweep_task(
     """Module-level task body so worker processes can unpickle it."""
     profiler = None
     if profile:
-        from repro.harness.profiler import StageProfiler
+        from repro.obs.prof import StageProfiler
 
         profiler = StageProfiler()
     return run_experiment(config, measure_lookups=measure_lookups, profiler=profiler)
@@ -50,7 +50,7 @@ def run_sweep(
     the fleet-level done/total + ETA line behind the CLI's ``--monitor``.
     With ``profile=True`` each result carries its worker's wall-clock
     stage timings (merge across results with
-    :func:`repro.harness.profiler.merge_profiles`).
+    :func:`repro.obs.prof.merge_profiles`).
 
     Configs with ``trace_streaming=True`` run their streaming consumers
     *inside* the worker (reconstructed deterministically from the config

@@ -1,9 +1,8 @@
 """Message-level transport layer for PROP deployments.
 
-The inline engines (:class:`~repro.core.protocol.PROPEngine`,
-:class:`~repro.core.timed_protocol.TimedPROPEngine`) execute a probe
-cycle as one (possibly delayed) callback; messages exist only as
-analytic tallies.  This package makes the message plane explicit:
+The inline engine (:class:`~repro.core.protocol.PROPEngine`) executes a
+probe cycle as one callback; messages exist only as analytic tallies.
+This package makes the message plane explicit:
 
 * :mod:`repro.net.messages` — the typed protocol messages (``WALK``,
   ``VAR_PROBE``, ``VAR_REPLY``, ``EXCHANGE_PREPARE``,

@@ -31,8 +31,10 @@ cascade of a cycle executes at its fire timestamp in insertion order, so
 the engine consumes the shared ``prop:engine`` RNG stream in exactly the
 order :class:`~repro.core.protocol.PROPEngine` does and reproduces its
 exchange sequence message for message (pinned by the bridge integration
-test).  To keep fire times aligned, the next probe is scheduled at
-``fire_time + delay`` (absolute), not ``resolution_time + delay``.
+test).  To keep fire times aligned, every cycle ends in the shared
+:meth:`~repro.core.protocol.PROPEngine._finish_cycle`, which schedules
+the next probe at ``fire_time + delay`` (absolute), not
+``resolution_time + delay``.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from dataclasses import dataclass, field
 
 from repro.core.config import PROPConfig
 from repro.core.exchange import execute_prop_g, execute_prop_o
-from repro.core.protocol import _MAINTENANCE, _WARMUP, ExchangeRecord, PROPEngine
-from repro.core.varcalc import evaluate_prop_g, select_prop_o
+from repro.core.protocol import ExchangeRecord, PROPEngine
+from repro.core.varcalc import evaluate_prop_g, select_prop_o, trade_legal, trade_var
 from repro.net.messages import (
     ExchangeAbort,
     ExchangeCommit,
@@ -105,7 +107,7 @@ class NetConfig:
 
 @dataclass
 class NetCounters:
-    """Fault-visible outcomes the inline engines cannot exhibit."""
+    """Fault-visible outcomes the inline engine cannot exhibit."""
 
     walk_timeouts: int = 0  # no VAR_REPLY in time
     vote_timeouts: int = 0  # no vote in time (after retries)
@@ -451,37 +453,9 @@ class MessagePROPEngine(PROPEngine):
             return evaluate_prop_g(overlay, u, v) > cfg.min_var
         if not msg.give_u or len(msg.give_u) != len(msg.give_v):
             return False
-        if not self._trade_legal(u, v, msg.give_u, msg.give_v):
+        if not trade_legal(overlay, u, v, msg.give_u, msg.give_v):
             return False
-        return self._trade_var(u, v, msg.give_u, msg.give_v) > cfg.min_var
-
-    def _trade_legal(self, u: int, v: int, give_u: tuple[int, ...],
-                     give_v: tuple[int, ...]) -> bool:
-        """May this PROP-O trade still be applied to the current graph?"""
-        overlay = self.overlay
-        for x in give_u:
-            if x == v or not overlay.has_edge(u, x) or overlay.has_edge(v, x):
-                return False
-        for y in give_v:
-            if y == u or not overlay.has_edge(v, y) or overlay.has_edge(u, y):
-                return False
-        return True
-
-    def _trade_var(self, u: int, v: int, give_u: tuple[int, ...],
-                   give_v: tuple[int, ...]) -> float:
-        """Var of the proposed trade on the current embedding (eq. 2)."""
-        emb = self.overlay.embedding
-        oracle = self.overlay.oracle
-        var = 0.0
-        for x in give_u:
-            var += oracle.between(int(emb[u]), int(emb[x])) - oracle.between(
-                int(emb[v]), int(emb[x])
-            )
-        for y in give_v:
-            var += oracle.between(int(emb[v]), int(emb[y])) - oracle.between(
-                int(emb[u]), int(emb[y])
-            )
-        return var
+        return trade_var(overlay, u, v, msg.give_u, msg.give_v) > cfg.min_var
 
     # -- two-phase commit: initiator side ----------------------------------
 
@@ -504,7 +478,7 @@ class MessagePROPEngine(PROPEngine):
         cfg = self.config
         overlay = self.overlay
         if cfg.policy == "O":
-            if not self._trade_legal(u, v, cyc.give_u, cyc.give_v):
+            if not trade_legal(overlay, u, v, cyc.give_u, cyc.give_v):
                 # a third party rewired one of the traded edges while the
                 # vote was in flight; aborting keeps the apply atomic
                 self.net_counters.stale_aborts += 1
@@ -661,30 +635,6 @@ class MessagePROPEngine(PROPEngine):
         if cyc.var is not None:
             self.counters.var_history.append(cyc.var)
         self._finish_cycle(cyc.u, cyc.fire_time, s=cyc.s, success=success)
-
-    def _finish_cycle(self, u: int, fire_time: float, *, s: int | None,
-                      success: bool) -> None:
-        """Queue feedback + the exact phase/timer bookkeeping of the
-        inline engine, with the next probe pinned to ``fire_time + delay``
-        so fire times stay aligned with :class:`PROPEngine` (the
-        determinism bridge)."""
-        state = self.nodes[u]
-        if s is not None:
-            (state.queue.on_success if success else state.queue.on_failure)(s)
-        if state.phase == _WARMUP:
-            state.trials += 1
-            if success:
-                state.timer.on_success()
-                if state.probes_until_first_exchange is None:
-                    state.probes_until_first_exchange = state.trials
-            if state.trials >= self.config.max_init_trial:
-                state.phase = _MAINTENANCE
-            delay = self.config.init_timer
-        else:
-            delay = state.timer.on_success() if success else state.timer.on_failure()
-            if success and state.probes_until_first_exchange is None:
-                state.probes_until_first_exchange = -1
-        self.sim.schedule_at(max(self.sim.now, fire_time + delay), self._probe_cycle, u)
 
     # -- churn interface ----------------------------------------------------
 

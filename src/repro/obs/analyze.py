@@ -110,7 +110,7 @@ def reconstruct_timelines(events: Iterable[Event]) -> TraceAnalysis:
             else:
                 _record_outcome(analysis, outcomes, ev.xid, "commit", ev.time, "")
         elif isinstance(ev, ExchangeAbortEvent):
-            if ev.xid >= 0:  # inline engines abort with xid=-1 (no prepare)
+            if ev.xid >= 0:  # xid=-1: no 2PC, so no timeline to close
                 _record_outcome(analysis, outcomes, ev.xid, "abort", ev.time, ev.reason)
         elif isinstance(ev, ExchangeTimeoutEvent):
             if ev.xid >= 0:

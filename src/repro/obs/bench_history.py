@@ -12,11 +12,13 @@ cannot give.
 takes the newest record as the candidate and compares every numeric
 metric against the **trailing median** of the previous ``window``
 records — a median, not the single previous value, so one noisy run
-neither hides nor manufactures a regression.  All metrics follow the
-lower-is-better convention (seconds, ratios, hop counts); a metric whose
-relative delta exceeds ``threshold`` is a regression and the command
-exits non-zero (1).  Missing or empty history exits 2 so CI can
-distinguish "no baseline yet" from "regressed".
+neither hides nor manufactures a regression.  Metrics are
+lower-is-better (seconds, ratios, hop counts) unless the record names
+them in its ``"higher"`` list (throughputs such as ``msgs_per_s``); a
+metric whose relative change in its worse direction exceeds
+``threshold`` is a regression and the command exits non-zero (1).
+Missing or empty history exits 2 so CI can distinguish "no baseline
+yet" from "regressed".
 """
 
 from __future__ import annotations
@@ -75,10 +77,19 @@ def history_record(
     metrics: Mapping[str, float],
     git_rev: str,
     timestamp: float,
+    higher: Iterable[str] = (),
 ) -> dict[str, Any]:
-    """Build one history line.  ``timestamp`` is supplied by the caller."""
+    """Build one history line.  ``timestamp`` is supplied by the caller.
+
+    ``higher`` names the metrics where a larger value is better; every
+    other metric is lower-is-better.
+    """
     if not bench:
         raise ValueError("bench id must be non-empty")
+    higher = sorted(set(higher))
+    unknown = [name for name in higher if name not in metrics]
+    if unknown:
+        raise ValueError(f"higher-is-better names {unknown} are not metrics")
     clean: dict[str, float] = {}
     for name in sorted(metrics):
         value = float(metrics[name])
@@ -89,6 +100,7 @@ def history_record(
         "fingerprint": str(fingerprint),
         "seed": int(seed),
         "metrics": clean,
+        "higher": higher,
         "git_rev": str(git_rev),
         "timestamp": float(timestamp),
     }
@@ -154,10 +166,12 @@ def check_history(
 
     For every bench id the newest record is the candidate; each of its
     numeric metrics is compared to the median of that metric over the
-    previous ``window`` records (lower is better).  Relative delta above
-    ``threshold`` → ``"regression"``, below ``-threshold`` →
+    previous ``window`` records.  Lower is better unless the candidate
+    names the metric in its ``"higher"`` list.  A relative change worse
+    than ``threshold`` → ``"regression"``, better than ``threshold`` →
     ``"improved"``, otherwise ``"ok"``; metrics with no prior values
-    report ``"no-baseline"``.
+    report ``"no-baseline"``.  ``rel_delta`` is the signed relative
+    change, whatever the direction.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -172,6 +186,7 @@ def check_history(
         chain = by_bench[bench]
         candidate, baselines = chain[-1], chain[:-1]
         metrics = candidate.get("metrics", {})
+        higher = set(candidate.get("higher", ()))
         for name in sorted(metrics):
             current = float(metrics[name])
             prior = [
@@ -187,9 +202,10 @@ def check_history(
             base = median(prior)
             scale = abs(base) if base != 0 else 1.0
             rel = (current - base) / scale
-            if rel > threshold:
+            worse = -rel if name in higher else rel
+            if worse > threshold:
                 status = "regression"
-            elif rel < -threshold:
+            elif worse < -threshold:
                 status = "improved"
             else:
                 status = "ok"

@@ -39,8 +39,8 @@ speedscope-compatible ``sampled`` profile, checked by
 :func:`validate_speedscope`).  ``python -m repro.obs prof`` renders all
 three and ``prof diff`` compares two profiles category-by-category.
 
-:class:`StageProfiler` — the harness's original coarse profiler — now
-lives here too; ``repro.harness.profiler`` re-exports it unchanged.
+:class:`StageProfiler` — the harness's coarse per-stage wall-clock
+profiler — lives here too.
 """
 
 from __future__ import annotations

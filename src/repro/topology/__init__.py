@@ -9,11 +9,9 @@ the two presets the paper evaluates on (:mod:`~repro.topology.presets`:
 result: the exact shortest-path backend (:mod:`~repro.topology.latency`),
 Vivaldi synthetic coordinates (:mod:`~repro.topology.vivaldi`), and
 landmark triangulation (:mod:`~repro.topology.landmark`), selected via
-:func:`~repro.topology.factory.build_oracle` and memoized on disk by
-:mod:`~repro.topology.cache`.
+:func:`~repro.topology.factory.build_oracle`.
 """
 
-from repro.topology.cache import cache_key, cached_oracle, valid_matrix
 from repro.topology.factory import ORACLE_BACKENDS, build_oracle
 from repro.topology.landmark import LandmarkOracle
 from repro.topology.latency import LatencyOracle, LatencyOracleBase
@@ -42,9 +40,6 @@ __all__ = [
     "VivaldiOracle",
     "WaxmanParams",
     "build_oracle",
-    "cache_key",
-    "cached_oracle",
-    "valid_matrix",
     "generate_waxman",
     "LinkLatencies",
     "PhysicalNetwork",

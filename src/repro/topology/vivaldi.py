@@ -155,42 +155,6 @@ class VivaldiOracle(LatencyOracleBase):
         truth = hold_m.ravel()
         self.rel_errors: FloatArray = np.abs(est - truth) / np.maximum(truth, 1e-9)
 
-    @classmethod
-    def from_state(
-        cls,
-        network: PhysicalNetwork,
-        hosts: np.ndarray,
-        *,
-        coords: np.ndarray,
-        height: np.ndarray,
-        rel_errors: np.ndarray,
-    ) -> "VivaldiOracle":
-        """Rebuild from fitted state (the cache-hit path).
-
-        Host validation runs exactly as in ``__init__``; the state
-        arrays are shape- and finiteness-checked before being trusted.
-        """
-        hosts = validate_hosts(network, hosts)
-        coords = np.ascontiguousarray(np.asarray(coords, dtype=np.float64))
-        height = np.ascontiguousarray(np.asarray(height, dtype=np.float64))
-        rel_errors = np.asarray(rel_errors, dtype=np.float64)
-        if coords.ndim != 2 or coords.shape[0] != hosts.size:
-            raise ValueError(f"coords shape {coords.shape} does not match hosts")
-        if height.shape != (hosts.size,):
-            raise ValueError(f"height shape {height.shape} does not match hosts")
-        if not (np.all(np.isfinite(coords)) and np.all(np.isfinite(height))):
-            raise ValueError("coordinate state must be finite")
-        if np.any(height < 0):
-            raise ValueError("heights must be non-negative")
-        oracle = cls.__new__(cls)
-        oracle.network = network
-        oracle.hosts = hosts
-        oracle.dim = int(coords.shape[1])
-        oracle.coords = coords
-        oracle.height = height
-        oracle.rel_errors = rel_errors
-        return oracle
-
     # -- protocol ---------------------------------------------------------
 
     def pairwise(self, a: np.ndarray, b: np.ndarray) -> FloatArray:

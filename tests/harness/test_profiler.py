@@ -3,7 +3,7 @@
 import pytest
 
 from repro.harness.parallel import Task, run_tasks
-from repro.harness.profiler import StageProfiler, merge_profiles
+from repro.obs.prof import StageProfiler, merge_profiles
 
 
 class TestStageProfiler:
@@ -57,17 +57,6 @@ class TestMergeProfiles:
 
     def test_all_entries_absent_yields_empty(self):
         assert merge_profiles([None, {}, None]) == {}
-
-
-class TestHarnessShim:
-    def test_harness_module_reexports_obs_implementation(self):
-        # harness.profiler is a back-compat facade over repro.obs.prof;
-        # identity (not just equality) keeps isinstance checks working
-        from repro.obs.prof import StageProfiler as ObsStageProfiler
-        from repro.obs.prof import merge_profiles as obs_merge_profiles
-
-        assert StageProfiler is ObsStageProfiler
-        assert merge_profiles is obs_merge_profiles
 
 
 def _noop() -> int:

@@ -34,6 +34,7 @@ class TestRecords:
         assert rec["schema_version"] == HISTORY_SCHEMA
         assert rec["bench"] == "fig5a"
         assert rec["metrics"] == {"wall_seconds": 1.0}
+        assert rec["higher"] == []
         assert rec["git_rev"] == "abc1234"
 
     def test_append_and_load_round_trip(self, tmp_path):
@@ -118,6 +119,33 @@ class TestCheckHistory:
         ]
         by_bench = {r.bench: r.status for r in check_history(records)}
         assert by_bench == {"a": "regression", "b": "ok"}
+
+    def test_throughput_drop_is_a_regression(self):
+        # msgs_per_s is higher-is-better: halving it must not read as
+        # "improved"
+        def live(rate):
+            return history_record(
+                "live_swarm", fingerprint="f" * 16, seed=0,
+                metrics={"msgs_per_s": rate, "wall_seconds": 2.0},
+                git_rev="abc1234", timestamp=1786038486.0,
+                higher=("msgs_per_s",),
+            )
+
+        by_metric = {r.metric: r for r in check_history([live(3600.0), live(1800.0)])}
+        assert by_metric["msgs_per_s"].status == "regression"
+        assert by_metric["msgs_per_s"].rel_delta == pytest.approx(-0.5)
+        assert by_metric["wall_seconds"].status == "ok"
+        (gain,) = [r for r in check_history([live(1800.0), live(3600.0)])
+                   if r.metric == "msgs_per_s"]
+        assert gain.status == "improved"
+
+    def test_higher_names_must_be_metrics(self):
+        with pytest.raises(ValueError, match="not metrics"):
+            history_record(
+                "live_swarm", fingerprint="f" * 16, seed=0,
+                metrics={"msgs_per_s": 1.0}, git_rev="abc1234",
+                timestamp=1786038486.0, higher=("msg_per_s",),
+            )
 
     def test_render_mentions_regressions(self):
         records = [record(secs=1.0), record(secs=2.0)]

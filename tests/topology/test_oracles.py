@@ -6,18 +6,12 @@ import pytest
 from repro.core.config import PROPConfig
 from repro.harness.experiment import ExperimentConfig, run_experiment
 from repro.harness.sweep import run_sweep
-from repro.netsim.rng import RngRegistry, derive_seed
-from repro.topology.factory import (
-    ORACLE_BACKENDS,
-    VIVALDI_STREAM,
-    build_oracle,
-    oracle_cache_params,
-)
+from repro.netsim.rng import RngRegistry
+from repro.topology.factory import ORACLE_BACKENDS, build_oracle
 from repro.topology.landmark import LandmarkOracle, choose_landmarks
 from repro.topology.latency import LatencyOracle
 from repro.topology.presets import build_preset
 from repro.topology.transit_stub import TransitStubParams, generate_transit_stub
-from repro.topology.vivaldi import VivaldiOracle
 
 N = 60
 
@@ -93,60 +87,6 @@ class TestProtocolInvariants:
         assert np.array_equal(oracle.dense(), again.dense())
 
 
-class TestStateRoundTrip:
-    """from_matrix / from_state reproduce the constructor's estimates."""
-
-    def test_exact_from_matrix(self, net, hosts):
-        direct = LatencyOracle(net, hosts)
-        rebuilt = LatencyOracle.from_matrix(net, hosts, direct.matrix.copy())
-        assert np.array_equal(rebuilt.matrix, direct.matrix)
-
-    def test_exact_from_matrix_rejects_asymmetry(self, net, hosts):
-        bad = LatencyOracle(net, hosts).matrix.copy()
-        bad[0, 1] += 1.0
-        with pytest.raises(ValueError, match="symmetric"):
-            LatencyOracle.from_matrix(net, hosts, bad)
-
-    def test_vivaldi_from_state(self, net, hosts):
-        rng = np.random.Generator(np.random.PCG64(derive_seed(7, VIVALDI_STREAM)))
-        direct = VivaldiOracle(net, hosts, rng)
-        rebuilt = VivaldiOracle.from_state(
-            net, hosts,
-            coords=direct.coords.copy(),
-            height=direct.height.copy(),
-            rel_errors=direct.rel_errors.copy(),
-        )
-        assert np.array_equal(rebuilt.dense(), direct.dense())
-        assert rebuilt.dim == direct.dim
-
-    def test_vivaldi_from_state_rejects_negative_height(self, net, hosts):
-        with pytest.raises(ValueError, match="non-negative"):
-            VivaldiOracle.from_state(
-                net, hosts,
-                coords=np.zeros((N, 4)),
-                height=np.full(N, -1.0),
-                rel_errors=np.zeros(1),
-            )
-
-    def test_landmark_from_state(self, net, hosts):
-        direct = LandmarkOracle(net, hosts)
-        rebuilt = LandmarkOracle.from_state(
-            net, hosts,
-            landmarks=direct.landmarks.copy(),
-            landmark_matrix=direct.landmark_matrix.copy(),
-        )
-        assert np.array_equal(rebuilt.dense(), direct.dense())
-
-    def test_landmark_from_state_rejects_wrong_shape(self, net, hosts):
-        direct = LandmarkOracle(net, hosts)
-        with pytest.raises(ValueError, match="shape"):
-            LandmarkOracle.from_state(
-                net, hosts,
-                landmarks=direct.landmarks,
-                landmark_matrix=direct.landmark_matrix[:, :-1],
-            )
-
-
 class TestFactory:
     def test_unknown_backend_rejected(self, net, hosts):
         with pytest.raises(ValueError, match="unknown oracle backend"):
@@ -155,11 +95,6 @@ class TestFactory:
     def test_unknown_option_rejected(self, net, hosts):
         with pytest.raises(ValueError, match="unknown 'vivaldi' oracle option"):
             build_oracle("vivaldi", net, hosts, options={"dims": 4})
-
-    def test_vivaldi_cache_params_include_seed(self):
-        assert oracle_cache_params("vivaldi", seed=3)["seed"] == 3
-        assert "seed" not in oracle_cache_params("exact", seed=3)
-        assert "seed" not in oracle_cache_params("landmark", seed=3)
 
     def test_vivaldi_stream_isolated_from_master_seed(self, net, hosts):
         """Different master seeds give different fits; the stream name

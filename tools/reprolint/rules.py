@@ -250,7 +250,6 @@ class RngStreamDiscipline(Rule):
     #: module -> stream-name literals it may request from the registry.
     STREAM_ALLOW: dict[str, frozenset[str]] = {
         "repro.core.protocol": frozenset({"prop:engine"}),
-        "repro.core.timed_protocol": frozenset({"prop:engine"}),
         "repro.net.engine": frozenset({"prop:engine"}),
         "repro.net.faults": frozenset({"net:faults"}),
         "repro.net.transport": frozenset(),
@@ -261,9 +260,7 @@ class RngStreamDiscipline(Rule):
     _OWN_RNG_ONLY = frozenset({"repro.net.faults"})
     #: protocol modules: draws must use the engine stream (``self.rng``)
     #: or a generator explicitly passed in as a parameter named ``rng``.
-    _PROTOCOL = frozenset(
-        {"repro.core.protocol", "repro.core.timed_protocol", "repro.net.engine"}
-    )
+    _PROTOCOL = frozenset({"repro.core.protocol", "repro.net.engine"})
     #: RNG-free modules: any generator draw at all is a violation.
     _RNG_FREE = frozenset({"repro.net.transport", "repro.net.messages"})
 
