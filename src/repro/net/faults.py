@@ -5,7 +5,8 @@ and injects, from its own seeded RNG stream (draw order is deterministic
 per seed, independent of the protocol streams):
 
 * **per-link loss** — ``loss`` is a probability, a ``{(src, dst): p}``
-  mapping (symmetric lookup), or a callable ``(src, dst) -> p``;
+  mapping (symmetric lookup), or a callable ``(src, dst) -> p``; every
+  number given up front must lie in ``[0, 1)``;
 * **extra delay and jitter** — a fixed ``extra_delay_ms`` plus a uniform
   draw in ``[0, jitter_ms)`` per message;
 * **reordering** — with probability ``reorder_prob`` a message is held
@@ -25,6 +26,7 @@ t=300 s.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 from typing import Callable, Mapping
 
 import numpy as np
@@ -45,6 +47,30 @@ __all__ = ["FaultyTransport", "PartitionSpec"]
 LossSpec = float | Mapping[tuple[int, int], float] | Callable[[int, int], float]
 
 
+def _check_probability(p: object) -> float:
+    if not isinstance(p, Real) or not 0.0 <= p < 1.0:
+        raise ValueError(f"loss probability must be in [0, 1), got {p!r}")
+    return float(p)
+
+
+def _resolve_loss(loss: LossSpec) -> Callable[[int, int], float]:
+    """One ``(src, dst) -> p`` function for any :data:`LossSpec`.
+
+    Numbers and mapping probabilities are validated here, once; a
+    mapping is snapshotted with its mirror entries filled in, so the
+    ``(src, dst)`` entry still wins over ``(dst, src)``.
+    """
+    if callable(loss):
+        return lambda src, dst: float(loss(src, dst))
+    if isinstance(loss, Mapping):
+        table = {link: _check_probability(p) for link, p in loss.items()}
+        table = {(b, a): p for (a, b), p in table.items()} | table
+        get = table.get
+        return lambda src, dst: get((src, dst), 0.0)
+    p = _check_probability(loss)
+    return lambda src, dst: p
+
+
 class FaultyTransport:
     """Transport decorator injecting seeded faults (see module docs)."""
 
@@ -59,15 +85,13 @@ class FaultyTransport:
         reorder_prob: float = 0.0,
         reorder_ms: float = 50.0,
     ) -> None:
-        if isinstance(loss, float) and not 0.0 <= loss < 1.0:
-            raise ValueError(f"loss probability must be in [0, 1), got {loss}")
         if extra_delay_ms < 0.0 or jitter_ms < 0.0 or reorder_ms < 0.0:
             raise ValueError("delays must be non-negative")
         if not 0.0 <= reorder_prob <= 1.0:
             raise ValueError(f"reorder_prob must be in [0, 1], got {reorder_prob}")
         self.inner = inner
         self.rng = rng
-        self.loss = loss
+        self._loss_for = _resolve_loss(loss)
         self.extra_delay_ms = float(extra_delay_ms)
         self.jitter_ms = float(jitter_ms)
         self.reorder_prob = float(reorder_prob)
@@ -113,14 +137,6 @@ class FaultyTransport:
 
     def unregister(self, slot: int) -> None:
         self.inner.unregister(slot)
-
-    def _loss_for(self, src: int, dst: int) -> float:
-        loss = self.loss
-        if callable(loss):
-            return float(loss(src, dst))
-        if isinstance(loss, Mapping):
-            return float(loss.get((src, dst), loss.get((dst, src), 0.0)))
-        return float(loss)
 
     def send(self, msg: Message, extra_delay_ms: float = 0.0) -> None:
         stats = self.inner.stats

@@ -17,6 +17,7 @@ field and per element of each slot list it carries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import cache
 from typing import ClassVar
 
 __all__ = [
@@ -35,6 +36,15 @@ __all__ = [
 
 HEADER_BYTES = 28
 INT_BYTES = 4
+
+#: Fields carried in the header, not charged as payload.
+_HEADER_FIELDS = frozenset({"src", "dst", "trace_id", "span_id", "parent_id"})
+
+
+@cache
+def _payload_fields(cls: type) -> tuple[str, ...]:
+    """Names of ``cls``'s payload fields, in declaration order."""
+    return tuple(f.name for f in fields(cls) if f.name not in _HEADER_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -64,10 +74,8 @@ class Message:
         real codec does charge for them — see ``encoded_size``).
         """
         size = HEADER_BYTES
-        for f in fields(self):
-            if f.name in ("src", "dst", "trace_id", "span_id", "parent_id"):
-                continue  # addressed in the header
-            value = getattr(self, f.name)
+        for name in _payload_fields(type(self)):
+            value = getattr(self, name)
             if isinstance(value, bool):
                 size += 1
             elif isinstance(value, (int, float)):

@@ -3,9 +3,10 @@
 A classic binary-heap agenda with three properties the protocol code
 relies on:
 
-* **Stable ordering** — events at the same timestamp fire in insertion
-  order (a monotone sequence number breaks ties), so simulations are
-  exactly reproducible.
+* **Stable ordering** — heap entries are ``(time, seq, event)`` tuples
+  and ``seq`` is a unique, monotone insertion counter, so events at the
+  same timestamp fire in insertion order and tuple comparison never
+  reaches the event itself.  Simulations are exactly reproducible.
 * **O(log n) cancellation** — cancelling marks the event dead and the pop
   loop skips corpses; the PROP timer logic cancels and reschedules
   constantly, so cancellation must be cheap.
@@ -15,22 +16,24 @@ relies on:
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Any, Callable
 
 __all__ = ["Event", "EventHandle", "EventQueue"]
 
 
-@dataclass(order=True)
 class Event:
-    """A scheduled callback.  Ordered by ``(time, seq)``."""
+    """A scheduled callback.  Its heap entry, not the event itself,
+    carries the ``(time, seq)`` ordering key."""
 
-    time: float
-    seq: int
-    callback: Callable[..., None] = field(compare=False)
-    args: tuple[Any, ...] = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
+    __slots__ = ("time", "callback", "args", "cancelled")
+
+    def __init__(self, time: float, callback: Callable[..., None],
+                 args: tuple[Any, ...] = ()) -> None:
+        self.time = time
+        self.callback = callback
+        self.args = args
+        self.cancelled = False
 
 
 class EventHandle:
@@ -64,10 +67,10 @@ class EventHandle:
 
 
 class EventQueue:
-    """Min-heap agenda of :class:`Event` objects."""
+    """Min-heap agenda of ``(time, seq, event)`` entries."""
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
         self._live = 0
         #: Cumulative telemetry counters (never reset; the profiling
@@ -93,17 +96,19 @@ class EventQueue:
         """Schedule ``callback(*args)`` at absolute time ``time``."""
         if time < 0.0:
             raise ValueError(f"cannot schedule event at negative time {time}")
-        ev = Event(time=float(time), seq=self._seq, callback=callback, args=args)
-        self._seq += 1
+        time = float(time)
+        seq = self._seq
+        ev = Event(time, callback, args)
+        self._seq = seq + 1
         self._live += 1
         self.pushes += 1
-        heapq.heappush(self._heap, ev)
+        heappush(self._heap, (time, seq, ev))
         return EventHandle(ev, self)
 
     def peek_time(self) -> float | None:
         """Time of the next live event, or ``None`` when empty."""
         self._drop_dead()
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def pop(self) -> Event:
         """Remove and return the next live event.
@@ -115,13 +120,17 @@ class EventQueue:
         self._drop_dead()
         if not self._heap:
             raise IndexError("pop from empty EventQueue")
-        ev = heapq.heappop(self._heap)
+        ev = heappop(self._heap)[2]
         self._live -= 1
         self.pops += 1
         ev.cancelled = True
         return ev
 
     def clear(self) -> None:
+        """Drop every queued event, marking each dead (as :meth:`pop`
+        does) so a retained handle's ``cancel()`` stays a no-op."""
+        for _, _, ev in self._heap:
+            ev.cancelled = True
         self._heap.clear()
         self._live = 0
 
@@ -131,5 +140,5 @@ class EventQueue:
 
     def _drop_dead(self) -> None:
         heap = self._heap
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)
+        while heap and heap[0][2].cancelled:
+            heappop(heap)

@@ -14,8 +14,8 @@ This module provides:
   latency of the fastest path from querier to target within the flood
   scope, optionally adding per-node processing delays (the Fig. 7
   heterogeneity experiment).  Exact min-latency paths are computed with
-  Dijkstra (scipy, C speed); a hop-bounded Bellman-Ford variant models
-  small TTLs faithfully.
+  Dijkstra (scipy, C speed); a hop-bounded Bellman-Ford variant
+  (:func:`hop_bounded_latency`) models small TTLs faithfully.
 """
 
 from __future__ import annotations
@@ -27,7 +27,56 @@ from scipy.sparse import csgraph
 from repro.overlay.base import Overlay
 from repro.topology.latency import LatencyOracle
 
-__all__ = ["GnutellaOverlay"]
+__all__ = ["GnutellaOverlay", "hop_bounded_latency"]
+
+
+def hop_bounded_latency(
+    sources: np.ndarray,
+    n_slots: int,
+    tails: np.ndarray,
+    heads: np.ndarray,
+    weights: np.ndarray,
+    ttl: int,
+) -> np.ndarray:
+    """Min latency within ``ttl`` hops of each source (Bellman-Ford).
+
+    Returns a ``(len(sources), n_slots)`` matrix; unreached slots are
+    ``inf``.  Each hop relaxes every head over its incoming candidates
+    at once.  The distances are kept node-major (``(n_slots,
+    len(sources))``) so the tail gather copies whole rows, and the
+    edges are sorted once by (in-degree, head): the heads of in-degree
+    ``d`` then own consecutive runs of ``d`` candidate rows, and one
+    dense ``min`` over a ``(heads, d, sources)`` view relaxes them all.
+    Min is exact and order-free, so the result does not depend on the
+    edge order.
+    """
+    k = sources.size
+    dist = np.full((n_slots, k), np.inf)
+    dist[sources, np.arange(k)] = 0.0
+    indeg = np.bincount(heads, minlength=n_slots)
+    targets = np.argsort(indeg, kind="stable")
+    targets = targets[indeg[targets] > 0]
+    rank = np.empty(n_slots, dtype=np.intp)
+    rank[targets] = np.arange(targets.size)
+    order = np.argsort(rank[heads], kind="stable")
+    tails, w = tails[order], weights[order][:, None]
+    blocks = []  # (target rows, candidate rows, (heads, d, k)) per in-degree d
+    row = edge = 0
+    for d, m in zip(*np.unique(indeg[targets], return_counts=True)):
+        blocks.append((slice(row, row + m), slice(edge, edge + m * d), (m, d, k)))
+        row, edge = row + m, edge + m * d
+    cand = np.empty((tails.size, k))  # one buffer: a hop holds one copy
+    best = np.empty((targets.size, k))
+    for _ in range(ttl):
+        np.take(dist, tails, axis=0, out=cand)
+        cand += w
+        for rows, edges, shape in blocks:
+            np.min(cand[edges].reshape(shape), axis=1, out=best[rows])
+        cur = dist[targets]
+        if not (best < cur).any():
+            break  # converged before the TTL ran out
+        dist[targets] = np.minimum(cur, best)
+    return np.ascontiguousarray(dist.T)
 
 
 class GnutellaOverlay(Overlay):
@@ -202,18 +251,7 @@ class GnutellaOverlay(Overlay):
             return csgraph.dijkstra(mat, directed=True, indices=sources)
         if ttl < 0:
             raise ValueError(f"ttl must be >= 0, got {ttl}")
-        dist = np.full((sources.size, self.n_slots), np.inf)
-        dist[np.arange(sources.size), sources] = 0.0
-        if tails.size == 0:
-            return dist
-        for _ in range(ttl):
-            cand = dist[:, tails] + weights  # (k, 2E)
-            new = dist.copy()
-            np.minimum.at(new, (slice(None), heads), cand)
-            if np.array_equal(new, dist):
-                break
-            dist = new
-        return dist
+        return hop_bounded_latency(sources, self.n_slots, tails, heads, weights, ttl)
 
     def lookup_latency(
         self,

@@ -25,7 +25,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import csgraph
 
-from repro.overlay.gnutella import GnutellaOverlay
+from repro.overlay.gnutella import GnutellaOverlay, hop_bounded_latency
 from repro.topology.latency import LatencyOracle
 
 __all__ = ["UltrapeerGnutellaOverlay"]
@@ -166,16 +166,8 @@ class UltrapeerGnutellaOverlay(GnutellaOverlay):
                 ).tocsr()
                 out[row] = csgraph.dijkstra(mat, directed=True, indices=[int(src)])[0]
             else:
-                dist = np.full(self.n_slots, np.inf)
-                dist[src] = 0.0
-                for _ in range(ttl):
-                    cand = dist[t] + w
-                    new = dist.copy()
-                    np.minimum.at(new, h, cand)
-                    if np.array_equal(new, dist):
-                        break
-                    dist = new
-                out[row] = dist
+                out[row] = hop_bounded_latency(sources[row:row + 1], self.n_slots,
+                                               t, h, w, ttl)[0]
         return out
 
     def copy(self) -> "UltrapeerGnutellaOverlay":

@@ -64,6 +64,30 @@ class TestLoss:
         sim.run()
         assert tr.stats.total_dropped == 1
 
+    @pytest.mark.parametrize("loss", [
+        1, 1.0, -0.1, 2, True, float("nan"), "0.1",
+        {(0, 1): 1.5}, {(0, 1): 1}, {(0, 1): 0.1, (2, 3): -0.2},
+    ])
+    def test_out_of_range_loss_rejected_at_construction(self, gnutella, loss):
+        """Regression: only a ``float`` loss used to be range-checked, so
+        ``loss=1`` or a mapping entry of 1.5 silently dropped every
+        message on those links."""
+        with pytest.raises(ValueError, match="loss probability"):
+            _faulty(gnutella, loss=loss)
+
+    @pytest.mark.parametrize("loss", [0, 0.0, 0.999, np.float64(0.5),
+                                      {}, {(0, 1): 0}, {(0, 1): 0.25}])
+    def test_in_range_loss_accepted(self, gnutella, loss):
+        _faulty(gnutella, loss=loss)
+
+    def test_directed_mapping_entry_wins_over_mirror(self, gnutella):
+        sim, tr = _faulty(gnutella, loss={(0, 1): 0.0, (1, 0): 1.0 - 1e-12})
+        tr.send(_ping(0, 1))  # its own (0, 1) entry: lossless
+        tr.send(_ping(1, 0))
+        sim.run()
+        assert tr.stats.total_dropped == 1
+        assert tr.stats.total_delivered == 1
+
     def test_invalid_rates_rejected(self, gnutella):
         with pytest.raises(ValueError):
             _faulty(gnutella, loss=1.0)

@@ -1,6 +1,8 @@
 """EventQueue ordering, cancellation, and bookkeeping."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netsim.events import EventQueue
 
@@ -133,8 +135,75 @@ def test_clear_resets():
     assert q.peek_time() is None
 
 
+def test_cancel_after_clear_is_noop():
+    """Regression: ``clear()`` dropped events without marking them dead,
+    so a retained handle's ``cancel()`` drove the live count negative."""
+    q = EventQueue()
+    h = q.push(1.0, lambda: None)
+    q.clear()
+    assert not h.pending
+    assert h.cancel() is False
+    assert len(q) == 0
+    q.push(2.0, lambda: None)
+    assert len(q) == 1
+    assert q.pop().time == 2.0
+
+
 def test_args_carried():
     q = EventQueue()
     q.push(1.0, lambda a, b: None, 1, 2)
     ev = q.pop()
     assert ev.args == (1, 2)
+
+
+#: A few timestamps, so many events tie and the insertion order decides.
+_TIMES = st.sampled_from([0.0, 1.0, 1.0, 2.5, 7.0])
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), _TIMES),
+        st.tuples(st.just("cancel"), st.integers(0, 63)),
+        st.tuples(st.just("pop")),
+        st.tuples(st.just("peek")),
+        st.tuples(st.just("clear")),
+    ),
+    max_size=120,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_OPS)
+def test_matches_sorted_list_model(ops):
+    """Random push/cancel/pop/peek/clear interleavings fire in
+    ``(time, insertion)`` order and keep the live count, exactly as a
+    sorted list of live ``(time, insertion)`` keys does."""
+    q = EventQueue()
+    model: list[tuple[float, int]] = []  # live keys, kept sorted
+    handles = []
+    for op in ops:
+        if op[0] == "push":
+            key = (op[1], len(handles))
+            handles.append((q.push(op[1], lambda: None, key), key))
+            model.append(key)
+            model.sort()
+        elif op[0] == "cancel":
+            if not handles:
+                continue
+            handle, key = handles[op[1] % len(handles)]
+            assert handle.cancel() is (key in model)
+            if key in model:
+                model.remove(key)
+        elif op[0] == "pop":
+            if not model:
+                with pytest.raises(IndexError):
+                    q.pop()
+                continue
+            ev = q.pop()
+            assert ev.args == (model.pop(0),)
+        elif op[0] == "peek":
+            assert q.peek_time() == (model[0][0] if model else None)
+        else:
+            q.clear()
+            model.clear()
+        assert len(q) == len(model)
+        assert bool(q) is bool(model)
+        assert all(h.pending is (k in model) for h, k in handles)

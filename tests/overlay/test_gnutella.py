@@ -149,3 +149,59 @@ class TestLookupModel:
         assert set(clone.iter_edges()) == set(gnutella.iter_edges())
         clone.swap_embedding(0, 1)
         assert gnutella.host_at(0) == 0
+
+
+def _reference_hop_bounded(overlay, sources, node_delay, ttl):
+    """Plain hop-by-hop relaxation, one source and one edge at a time."""
+    tails, heads, weights = overlay._directed_weights(node_delay)
+    out = np.full((len(sources), overlay.n_slots), np.inf)
+    for row, src in enumerate(sources):
+        dist = out[row]
+        dist[src] = 0.0
+        for _ in range(ttl):
+            prev = dist.copy()
+            for t, h, w in zip(tails, heads, weights):
+                if prev[t] + w < dist[h]:
+                    dist[h] = prev[t] + w
+    return out
+
+
+class TestHopBoundedExactness:
+    """The grouped hop-bounded sampler equals the reference bit for bit."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("delayed", [False, True], ids=["plain", "node_delay"])
+    def test_matches_reference_relaxation(self, small_oracle, seed, delayed):
+        rng = np.random.default_rng(seed)
+        ov = GnutellaOverlay.build(
+            small_oracle, rng, min_degree=int(rng.integers(1, 4)),
+            mean_extra_degree=float(rng.uniform(0.0, 3.0)),
+        )
+        node_delay = rng.choice([1.0, 100.0], size=ov.n_slots) if delayed else None
+        sources = rng.choice(ov.n_slots, size=5, replace=False)
+        for ttl in range(9):
+            got = ov.lookup_latency_matrix(sources, node_delay, ttl)
+            want = _reference_hop_bounded(ov, sources, node_delay, ttl)
+            assert np.array_equal(got, want), f"ttl={ttl}"
+
+    @pytest.mark.parametrize("delayed", [False, True], ids=["plain", "node_delay"])
+    def test_unreached_slots_stay_inf(self, small_oracle, delayed):
+        # a short path 0-1-2-3 plus an isolated pair: most slots are
+        # unreachable at any TTL
+        ov = GnutellaOverlay(small_oracle, np.arange(small_oracle.n))
+        for a, b in [(0, 1), (1, 2), (2, 3), (10, 11)]:
+            ov.add_edge(a, b)
+        node_delay = np.full(ov.n_slots, 5.0) if delayed else None
+        sources = np.array([0, 3, 10, 40])
+        for ttl in range(9):
+            got = ov.lookup_latency_matrix(sources, node_delay, ttl)
+            assert np.array_equal(got, _reference_hop_bounded(ov, sources, node_delay, ttl))
+            assert np.isinf(got[:, 20:40]).all()
+            assert np.count_nonzero(np.isfinite(got[3])) == 1  # the isolated source
+
+    def test_edgeless_overlay_reaches_only_the_sources(self, small_oracle):
+        ov = GnutellaOverlay(small_oracle, np.arange(small_oracle.n))
+        got = ov.lookup_latency_matrix([2, 5], ttl=4)
+        want = np.full((2, ov.n_slots), np.inf)
+        want[0, 2] = want[1, 5] = 0.0
+        assert np.array_equal(got, want)

@@ -104,6 +104,24 @@ class TestTwoTierFlooding:
         expected[list(two_tier.neighbors(src))] = True
         assert np.array_equal(reachable, expected)
 
+    def test_ttl_bounded_matches_restricted_reference(self, two_tier):
+        """Each TTL-bounded row is the plain hop-by-hop relaxation over
+        the ultrapeer edges plus the querier's own, bit for bit."""
+        tails, heads, weights = two_tier._directed_weights(None)
+        forwarder = two_tier.roles[tails] == ROLE_ULTRAPEER
+        sources = [int(two_tier.leaf_slots[0]), int(two_tier.ultrapeer_slots[0])]
+        for ttl in range(6):
+            got = two_tier.lookup_latency_matrix(sources, ttl=ttl)
+            for row, src in enumerate(sources):
+                dist = np.full(two_tier.n_slots, np.inf)
+                dist[src] = 0.0
+                for _ in range(ttl):
+                    prev = dist.copy()
+                    for t, h, w, fwd in zip(tails, heads, weights, forwarder):
+                        if (fwd or t == src) and prev[t] + w < dist[h]:
+                            dist[h] = prev[t] + w
+                assert np.array_equal(got[row], dist), (ttl, src)
+
     def test_mean_lookup_latency_works(self, two_tier):
         from repro.workloads.lookups import uniform_pairs
 
