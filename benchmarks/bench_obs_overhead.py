@@ -64,7 +64,6 @@ SPAN_WORKLOAD = FIG5_WORKLOAD.but(
     n_overlay=300,
     transport="sim",
     duration=1800.0,
-    lookups_per_sample=0,
 )
 
 

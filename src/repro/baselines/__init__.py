@@ -11,17 +11,13 @@
   physically close.
 """
 
-from repro.baselines.ltm import LTMConfig, LTMCounters, LTMOptimizer
-from repro.baselines.pis import landmark_vectors, pis_embedding
+from repro.baselines.ltm import LTMConfig, LTMOptimizer
+from repro.baselines.pis import pis_embedding
 from repro.baselines.pns import PNSChordOverlay
-from repro.baselines.tacan import tacan_join_points
 
 __all__ = [
     "LTMConfig",
-    "LTMCounters",
     "LTMOptimizer",
     "PNSChordOverlay",
-    "landmark_vectors",
     "pis_embedding",
-    "tacan_join_points",
 ]

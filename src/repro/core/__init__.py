@@ -21,13 +21,12 @@ engine gluing it together (:mod:`~repro.core.protocol`).
 from repro.core.config import PROPConfig
 from repro.core.exchange import execute_prop_g, execute_prop_o
 from repro.core.neighbor_queue import NeighborQueue
-from repro.core.protocol import ExchangeRecord, PROPEngine, ProtocolCounters
+from repro.core.protocol import PROPEngine, ProtocolCounters
 from repro.core.timer_policy import MarkovTimer
 from repro.core.varcalc import evaluate_prop_g, select_prop_o
 from repro.core.walk import random_walk
 
 __all__ = [
-    "ExchangeRecord",
     "MarkovTimer",
     "NeighborQueue",
     "PROPConfig",

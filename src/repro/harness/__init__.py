@@ -7,29 +7,22 @@ from repro.harness.experiment import (
     build_world,
     run_experiment,
 )
-from repro.harness.parallel import Task, TaskError, TaskEvent, run_tasks
-from repro.harness.persistence import StoredResult, load_result, save_result
-from repro.harness.replicate import ReplicatedSeries, ReplicationSummary, replicate
+from repro.harness.parallel import Task, TaskEvent, run_tasks
+from repro.harness.replicate import replicate
 from repro.harness.reporting import format_series, format_table
 from repro.harness.sweep import run_sweep
 
 __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
-    "ReplicatedSeries",
-    "ReplicationSummary",
-    "StoredResult",
     "Task",
-    "TaskError",
     "TaskEvent",
     "World",
     "build_world",
     "format_series",
     "format_table",
-    "load_result",
     "replicate",
     "run_experiment",
     "run_sweep",
     "run_tasks",
-    "save_result",
 ]

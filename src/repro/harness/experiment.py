@@ -15,6 +15,7 @@ are directly comparable ("same world, different optimizer").
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any
 
@@ -91,7 +92,6 @@ class ExperimentConfig:
     fast_fraction: float = 0.5
     fast_ms: float = 1.0
     slow_ms: float = 100.0
-    capacity_degree_bias: bool = True
     fast_degree_weight: float = 4.0
     fast_lookup_fraction: float | None = None
     churn: ChurnConfig | None = None
@@ -103,9 +103,6 @@ class ExperimentConfig:
     # swarm with wall-clock timers)
     transport: str | None = None
     loss: float = 0.0
-    extra_delay_ms: float = 0.0
-    net_jitter_ms: float = 0.0
-    reorder_prob: float = 0.0
     partitions: tuple[str, ...] = ()  # PartitionSpec strings, e.g. "a:b@120-300"
     latency_scale: float = 1.0
     net: NetConfig | None = None
@@ -115,7 +112,6 @@ class ExperimentConfig:
     # observability
     trace: bool = False  # buffer structured events (repro.obs)
     trace_streaming: bool = False  # dispatch to consumers, discard raw events
-    trace_window: float | None = None  # consumer window width (default: sample_interval)
     kernel_profile: bool = False  # per-category wall-clock attribution (repro.obs.prof)
     # measurement
     duration: float = 1800.0
@@ -140,10 +136,30 @@ class ExperimentConfig:
             raise ValueError("n_spare must be >= 0")
         if self.churn is not None and self.n_spare == 0:
             raise ValueError("churn needs n_spare > 0 replacement hosts")
-        if self.fast_lookup_fraction is not None and not self.heterogeneous:
-            raise ValueError("fast_lookup_fraction requires heterogeneous=True")
-        if self.duration < self.sample_interval:
-            raise ValueError("duration must cover at least one sample interval")
+        if not 0.0 <= self.fast_fraction <= 1.0:
+            raise ValueError(f"fast_fraction must be in [0, 1], got {self.fast_fraction}")
+        if self.fast_lookup_fraction is not None:
+            if not self.heterogeneous:
+                raise ValueError("fast_lookup_fraction requires heterogeneous=True")
+            if not 0.0 <= self.fast_lookup_fraction <= 1.0:
+                raise ValueError(
+                    f"fast_lookup_fraction must be in [0, 1], got {self.fast_lookup_fraction}"
+                )
+        if not (math.isfinite(self.sample_interval) and self.sample_interval > 0.0):
+            raise ValueError(
+                f"sample_interval must be finite and > 0, got {self.sample_interval}"
+            )
+        if not (math.isfinite(self.duration) and self.duration >= self.sample_interval):
+            raise ValueError(
+                f"duration must be finite and cover at least one sample interval, "
+                f"got {self.duration}"
+            )
+        if self.lookups_per_sample < 1:
+            raise ValueError(
+                f"lookups_per_sample must be >= 1, got {self.lookups_per_sample}"
+            )
+        if self.flood_ttl is not None and self.flood_ttl < 0:
+            raise ValueError(f"flood_ttl must be >= 0, got {self.flood_ttl}")
         if (self.pis_landmarks is not None or self.pns) and self.overlay_kind != "chord":
             raise ValueError("PIS/PNS apply to the chord overlay only")
         if self.trace and self.trace_streaming:
@@ -151,11 +167,6 @@ class ExperimentConfig:
                 "trace buffers every raw event and trace_streaming discards "
                 "them; enable at most one of the two"
             )
-        if self.trace_window is not None:
-            if self.trace_window <= 0:
-                raise ValueError(f"trace_window must be > 0, got {self.trace_window}")
-            if not (self.trace or self.trace_streaming):
-                raise ValueError("trace_window needs trace or trace_streaming")
         if self.transport not in (None, "sim", "udp"):
             raise ValueError(
                 f"transport must be None, 'sim' or 'udp', got {self.transport!r}"
@@ -168,10 +179,7 @@ class ExperimentConfig:
             )
         if not 0.0 <= self.loss < 1.0:
             raise ValueError(f"loss must be in [0, 1), got {self.loss}")
-        if self.transport != "sim" and (
-            self.loss or self.extra_delay_ms or self.net_jitter_ms
-            or self.reorder_prob or self.partitions
-        ):
+        if self.transport != "sim" and (self.loss or self.partitions):
             raise ValueError("fault injection needs transport='sim'")
         if self.live_speedup <= 0.0:
             raise ValueError(f"live_speedup must be > 0, got {self.live_speedup}")
@@ -305,14 +313,9 @@ def monitor_consumers(config: ExperimentConfig) -> list[TraceConsumer]:
 
     Built from the config alone so a worker process reconstructs the
     identical set — streaming aggregates stay byte-comparable between
-    serial and ``--workers N`` execution.  Window width defaults to the
-    sampling interval; warm-up end mirrors the report phase breakdown.
+    serial and ``--workers N`` execution.  Windows are one sampling
+    interval wide; warm-up end mirrors the report phase breakdown.
     """
-    width = (
-        config.trace_window
-        if config.trace_window is not None
-        else config.sample_interval
-    )
     warmup = 0.0
     if config.prop is not None:
         warmup = min(
@@ -320,7 +323,7 @@ def monitor_consumers(config: ExperimentConfig) -> list[TraceConsumer]:
             float(config.prop.max_init_trial) * float(config.prop.init_timer),
         )
     return [
-        WindowedCounts(width),
+        WindowedCounts(config.sample_interval),
         ConvergenceMonitor(config.duration, warmup_end=warmup),
     ]
 
@@ -452,20 +455,9 @@ def _build_transport(
     """The message plane: SimTransport, fault-wrapped when faults are on."""
     base = SimTransport(sim, overlay, latency_scale=config.latency_scale, tracer=tracer)
     specs = [PartitionSpec.parse(s) for s in config.partitions]
-    faulty = (
-        config.loss or config.extra_delay_ms or config.net_jitter_ms
-        or config.reorder_prob or specs
-    )
-    if not faulty:
+    if not (config.loss or specs):
         return base
-    transport = FaultyTransport(
-        base,
-        rngs.stream("net:faults"),
-        loss=config.loss,
-        extra_delay_ms=config.extra_delay_ms,
-        jitter_ms=config.net_jitter_ms,
-        reorder_prob=config.reorder_prob,
-    )
+    transport = FaultyTransport(base, rngs.stream("net:faults"), loss=config.loss)
     for spec in specs:
         spec.install(transport, sim, overlay.n_slots)
     return transport
@@ -482,7 +474,7 @@ def _build_overlay(
     opts = dict(config.overlay_options)
     rng = rngs.stream(f"overlay:{kind}")
     if kind == "gnutella":
-        if het is not None and config.capacity_degree_bias:
+        if het is not None:
             opts.setdefault(
                 "capacity_weight",
                 capacity_weights_from_delay(het, embedding, fast_weight=config.fast_degree_weight),

@@ -36,29 +36,9 @@ clocks (reprolint rule D1 scopes its no-wall-clock invariant to exclude
 ``repro.live``); randomness remains seeded-stream-only everywhere.
 """
 
-from repro.live.clock import LiveScheduler
-from repro.live.codec import CodecError, WIRE_VERSION, decode, encode, encoded_size
-from repro.live.lag import LoopLagSampler
-from repro.live.node import PeerNode
-from repro.live.runner import run_live_experiment
-from repro.live.swarm import ChurnSchedule, Swarm, SwarmReport
-from repro.live.traffic import TrafficGenerator
-from repro.live.transport import UdpTransport, udp_loopback_available
+from repro.live.swarm import ChurnSchedule, Swarm
 
 __all__ = [
     "ChurnSchedule",
-    "CodecError",
-    "LiveScheduler",
-    "LoopLagSampler",
-    "PeerNode",
     "Swarm",
-    "SwarmReport",
-    "TrafficGenerator",
-    "UdpTransport",
-    "WIRE_VERSION",
-    "decode",
-    "encode",
-    "encoded_size",
-    "run_live_experiment",
-    "udp_loopback_available",
 ]

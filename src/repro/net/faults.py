@@ -7,8 +7,8 @@ per seed, independent of the protocol streams):
 * **per-link loss** — ``loss`` is a probability, a ``{(src, dst): p}``
   mapping (symmetric lookup), or a callable ``(src, dst) -> p``; every
   number given up front must lie in ``[0, 1)``;
-* **extra delay and jitter** — a fixed ``extra_delay_ms`` plus a uniform
-  draw in ``[0, jitter_ms)`` per message;
+* **jitter** — a uniform draw in ``[0, jitter_ms)`` added to each
+  message's delay;
 * **reordering** — with probability ``reorder_prob`` a message is held
   an extra uniform ``[0, reorder_ms)``, letting later sends overtake it;
 * **named partitions** — while a partition is installed, messages
@@ -80,19 +80,17 @@ class FaultyTransport:
         rng: np.random.Generator,
         *,
         loss: LossSpec = 0.0,
-        extra_delay_ms: float = 0.0,
         jitter_ms: float = 0.0,
         reorder_prob: float = 0.0,
         reorder_ms: float = 50.0,
     ) -> None:
-        if extra_delay_ms < 0.0 or jitter_ms < 0.0 or reorder_ms < 0.0:
+        if jitter_ms < 0.0 or reorder_ms < 0.0:
             raise ValueError("delays must be non-negative")
         if not 0.0 <= reorder_prob <= 1.0:
             raise ValueError(f"reorder_prob must be in [0, 1], got {reorder_prob}")
         self.inner = inner
         self.rng = rng
         self._loss_for = _resolve_loss(loss)
-        self.extra_delay_ms = float(extra_delay_ms)
         self.jitter_ms = float(jitter_ms)
         self.reorder_prob = float(reorder_prob)
         self.reorder_ms = float(reorder_ms)
@@ -151,7 +149,7 @@ class FaultyTransport:
             stats.record_drop(msg, "loss")
             self._trace_drop(msg, "loss")
             return
-        delay = extra_delay_ms + self.extra_delay_ms
+        delay = extra_delay_ms
         if self.jitter_ms > 0.0:
             delay += float(self.rng.random()) * self.jitter_ms
         if self.reorder_prob > 0.0 and float(self.rng.random()) < self.reorder_prob:

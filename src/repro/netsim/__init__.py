@@ -11,17 +11,10 @@ given the same master seed and the same schedule of calls, a simulation
 replays exactly — ties in event time are broken by insertion order.
 """
 
-from repro.netsim.clock import Clock
 from repro.netsim.engine import Simulator
-from repro.netsim.events import Event, EventHandle, EventQueue
-from repro.netsim.rng import RngRegistry, derive_seed
+from repro.netsim.rng import RngRegistry
 
 __all__ = [
-    "Clock",
-    "Event",
-    "EventHandle",
-    "EventQueue",
     "RngRegistry",
     "Simulator",
-    "derive_seed",
 ]

@@ -7,8 +7,8 @@ Five layers, each usable alone:
   emit into (``NullTracer`` when off: one attribute check, zero cost;
   ``streaming=True`` dispatches to subscribers and discards raw events);
 * :mod:`repro.obs.live` / :mod:`repro.obs.monitor` — the active half:
-  windowed online aggregators and the convergence detectors behind the
-  CLI's ``--monitor`` progress line;
+  the windowed online event counter and the convergence detectors
+  behind the CLI's ``--monitor`` progress line;
 * :mod:`repro.obs.registry` — the unified :class:`MetricsRegistry`
   that absorbs the legacy ProtocolCounters / NetCounters /
   TransportStats surfaces into one namespace;
@@ -30,224 +30,34 @@ This package never imports from the harness or the engines — they
 import it.
 """
 
-from repro.obs.analyze import (
-    ExchangeTimeline,
-    TraceAnalysis,
-    load_trace,
-    reconstruct_timelines,
-    render_timelines,
-)
-from repro.obs.bench_history import (
-    HISTORY_SCHEMA,
-    CheckResult,
-    append_record,
-    check_history,
-    current_git_rev,
-    history_record,
-    load_history,
-    render_check,
-)
-from repro.obs.events import (
-    EVENT_TYPES,
-    ChurnJoin,
-    ChurnLeave,
-    Event,
-    ExchangeAbortEvent,
-    ExchangeCommitEvent,
-    ExchangePrepareEvent,
-    ExchangeTimeoutEvent,
-    MsgDeliverEvent,
-    MsgDropEvent,
-    MsgSendEvent,
-    MsgTimeoutEvent,
-    ProbeEvent,
-    SpanEndEvent,
-    SpanStartEvent,
-    VarCollectEvent,
-    event_from_dict,
-    event_to_dict,
-    events_from_jsonl,
-    events_to_jsonl,
-)
-from repro.obs.live import (
-    HistStat,
-    MeanStat,
-    Window,
-    WindowedCounts,
-    WindowedHistogram,
-    WindowedMean,
-    replay,
-)
-from repro.obs.monitor import (
-    ConvergenceMonitor,
-    ExchangeEfficacy,
-    MonitorStatus,
-    ThrashDetector,
-    format_status,
-)
-from repro.obs.registry import (
-    NET_TABLE_COLUMNS,
-    VAR_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    absorb_net_counters,
-    absorb_protocol_counters,
-    absorb_transport_stats,
-    net_summary_rows,
-    percentile_from_buckets,
-    registry_from_result,
-)
-from repro.obs.prof import (
-    CATEGORIES,
-    CategoryMismatchError,
-    KernelProfile,
-    KernelProfiler,
-    PROFILE_SCHEMA,
-    ProfileError,
-    StageProfiler,
-    classify_event,
-    diff_table,
-    merge_profiles,
-    validate_speedscope,
-)
+from repro.obs.analyze import reconstruct_timelines
+from repro.obs.events import events_from_jsonl, events_to_jsonl
+from repro.obs.prof import KernelProfile, KernelProfiler, diff_table, validate_speedscope
+from repro.obs.registry import MetricsRegistry, registry_from_result
 from repro.obs.report import (
-    REPORT_SCHEMA,
-    RunReport,
-    build_replicate_report,
     build_run_report,
-    config_fingerprint,
     diff_reports,
     load_report,
     render_markdown,
     save_report,
 )
-from repro.obs.spans import (
-    CriticalSegment,
-    Span,
-    SpanAnalysis,
-    SpanAssembler,
-    SpanTree,
-    analysis_to_dict,
-    assemble_spans,
-    critical_path,
-    dump_analysis,
-    path_totals,
-    render_critical_paths,
-    render_span_trees,
-)
-from repro.obs.telemetry import (
-    TelemetryExporter,
-    TelemetrySnapshot,
-    load_telemetry,
-)
-from repro.obs.trace import (
-    NULL_TRACER,
-    NullTracer,
-    TraceConsumer,
-    Tracer,
-    TracerLike,
-    write_events_jsonl,
-)
+from repro.obs.trace import NullTracer, Tracer
 
 __all__ = [
-    "CATEGORIES",
-    "CategoryMismatchError",
-    "CheckResult",
-    "ChurnJoin",
-    "ChurnLeave",
-    "ConvergenceMonitor",
-    "Counter",
-    "CriticalSegment",
-    "EVENT_TYPES",
-    "Event",
-    "ExchangeAbortEvent",
-    "ExchangeCommitEvent",
-    "ExchangeEfficacy",
-    "ExchangePrepareEvent",
-    "ExchangeTimeline",
-    "ExchangeTimeoutEvent",
-    "Gauge",
-    "HISTORY_SCHEMA",
-    "HistStat",
-    "Histogram",
     "KernelProfile",
     "KernelProfiler",
-    "MeanStat",
     "MetricsRegistry",
-    "MonitorStatus",
-    "MsgDeliverEvent",
-    "MsgDropEvent",
-    "MsgSendEvent",
-    "MsgTimeoutEvent",
-    "NET_TABLE_COLUMNS",
-    "NULL_TRACER",
     "NullTracer",
-    "PROFILE_SCHEMA",
-    "ProbeEvent",
-    "ProfileError",
-    "REPORT_SCHEMA",
-    "RunReport",
-    "Span",
-    "SpanAnalysis",
-    "SpanAssembler",
-    "SpanEndEvent",
-    "SpanStartEvent",
-    "SpanTree",
-    "StageProfiler",
-    "TelemetryExporter",
-    "TelemetrySnapshot",
-    "ThrashDetector",
-    "TraceAnalysis",
-    "TraceConsumer",
     "Tracer",
-    "TracerLike",
-    "VAR_BUCKETS",
-    "VarCollectEvent",
-    "Window",
-    "WindowedCounts",
-    "WindowedHistogram",
-    "WindowedMean",
-    "absorb_net_counters",
-    "absorb_protocol_counters",
-    "absorb_transport_stats",
-    "analysis_to_dict",
-    "append_record",
-    "assemble_spans",
-    "build_replicate_report",
     "build_run_report",
-    "check_history",
-    "classify_event",
-    "config_fingerprint",
-    "critical_path",
-    "current_git_rev",
     "diff_reports",
     "diff_table",
-    "dump_analysis",
-    "event_from_dict",
-    "event_to_dict",
     "events_from_jsonl",
     "events_to_jsonl",
-    "format_status",
-    "history_record",
-    "load_history",
     "load_report",
-    "load_telemetry",
-    "load_trace",
-    "merge_profiles",
-    "net_summary_rows",
-    "path_totals",
-    "percentile_from_buckets",
     "reconstruct_timelines",
     "registry_from_result",
-    "render_check",
-    "render_critical_paths",
     "render_markdown",
-    "render_span_trees",
-    "render_timelines",
-    "replay",
     "save_report",
     "validate_speedscope",
-    "write_events_jsonl",
 ]

@@ -1,4 +1,4 @@
-"""Streaming trace consumers: windowed online aggregators.
+"""Streaming trace consumers: the windowed online event counter.
 
 The passive half of ``repro.obs`` buffers every event and analyzes the
 trace post-mortem; this module is the active half's foundation.  A
@@ -10,11 +10,11 @@ bigger) affordable.
 
 Windows are fixed sim-time buckets ``[k·width, (k+1)·width)``.  Events
 arrive in nondecreasing simulation time (the simulator guarantees it;
-the aggregators enforce it), so a window can be sealed the moment the
+the consumer enforces it), so a window can be sealed the moment the
 first event of a later window arrives — there is never more than one
-open window per aggregator.  Empty windows are skipped: the ``windows``
-list holds one :class:`Window` per bucket that actually saw events,
-tagged with its bucket index.
+open window.  Empty windows are skipped: the ``windows`` list holds one
+:class:`Window` per bucket that actually saw events, tagged with its
+bucket index.
 
 Aggregates are deliberately *deterministic* in the event stream: the
 same run produces identical ``windows`` lists whether events were
@@ -25,64 +25,30 @@ streamed live or replayed from a buffered trace
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.obs.events import Event
 from repro.obs.trace import TraceConsumer
 
-__all__ = [
-    "HistStat",
-    "MeanStat",
-    "Window",
-    "WindowedCounts",
-    "WindowedHistogram",
-    "WindowedMean",
-    "replay",
-]
+__all__ = ["Window", "WindowedCounts", "replay"]
 
 
 @dataclass(frozen=True)
 class Window:
-    """One sealed aggregation bucket: ``[start, end)`` holding ``value``."""
+    """One sealed bucket: ``[start, end)`` with its ``{etype: count}``."""
 
     index: int
     start: float
     end: float
-    value: Any
+    value: dict[str, int]
 
 
-@dataclass(frozen=True)
-class MeanStat:
-    """Count/total pair (the online form of a mean)."""
+class WindowedCounts:
+    """Per-window event counts keyed by event type.
 
-    count: int
-    total: float
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-
-@dataclass(frozen=True)
-class HistStat:
-    """Fixed-bucket histogram snapshot (same shape as registry histograms)."""
-
-    edges: tuple[float, ...]
-    counts: tuple[int, ...]
-    count: int
-    total: float
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-
-class _WindowedAggregator:
-    """Shared window bookkeeping; subclasses define the per-window state.
-
-    Subclasses implement ``_accepts`` (event filter), ``_new_state``,
-    ``_add`` (fold one event in) and ``_snapshot`` (freeze the state
-    into the sealed :class:`Window`'s value).
+    Each sealed window's value is a ``{etype: count}`` dict (sorted
+    keys, so two runs' windows compare field-for-field).  ``totals()``
+    folds the sealed windows into whole-run counts.
     """
 
     def __init__(self, width: float) -> None:
@@ -92,34 +58,28 @@ class _WindowedAggregator:
         self.width = width
         self.windows: list[Window] = []
         self._index: int | None = None
-        self._state: Any = None
+        self._counts: dict[str, int] = {}
 
     # -- TraceConsumer interface -----------------------------------------
 
     def on_event(self, event: Event) -> None:
-        if not self._accepts(event):
-            return
         index = int(event.time // self.width)
         if self._index is None:
-            self._open(index)
+            self._index = index
         elif index > self._index:
             self._seal()
-            self._open(index)
+            self._index = index
         elif index < self._index:
             raise ValueError(
                 f"event at t={event.time} arrived after window {self._index} "
                 "opened; consumers require nondecreasing event times"
             )
-        self._add(self._state, event)
+        self._counts[event.etype] = self._counts.get(event.etype, 0) + 1
 
     def finish(self, end_time: float) -> None:
         self._seal()
 
     # -- window bookkeeping ----------------------------------------------
-
-    def _open(self, index: int) -> None:
-        self._index = index
-        self._state = self._new_state()
 
     def _seal(self) -> None:
         if self._index is None:
@@ -129,43 +89,11 @@ class _WindowedAggregator:
                 index=self._index,
                 start=self._index * self.width,
                 end=(self._index + 1) * self.width,
-                value=self._snapshot(self._state),
+                value=dict(sorted(self._counts.items())),
             )
         )
         self._index = None
-        self._state = None
-
-    # -- subclass hooks ---------------------------------------------------
-
-    def _accepts(self, event: Event) -> bool:
-        return True
-
-    def _new_state(self) -> Any:
-        raise NotImplementedError
-
-    def _add(self, state: Any, event: Event) -> None:
-        raise NotImplementedError
-
-    def _snapshot(self, state: Any) -> Any:
-        raise NotImplementedError
-
-
-class WindowedCounts(_WindowedAggregator):
-    """Per-window event counts keyed by event type.
-
-    Each sealed window's value is a ``{etype: count}`` dict (sorted
-    keys, so two runs' windows compare field-for-field).  ``totals()``
-    folds the sealed windows into whole-run counts.
-    """
-
-    def _new_state(self) -> dict[str, int]:
-        return {}
-
-    def _add(self, state: dict[str, int], event: Event) -> None:
-        state[event.etype] = state.get(event.etype, 0) + 1
-
-    def _snapshot(self, state: dict[str, int]) -> dict[str, int]:
-        return dict(sorted(state.items()))
+        self._counts = {}
 
     def totals(self) -> dict[str, int]:
         """Whole-run counts over the sealed windows."""
@@ -174,77 +102,6 @@ class WindowedCounts(_WindowedAggregator):
             for etype, count in window.value.items():
                 out[etype] = out.get(etype, 0) + count
         return dict(sorted(out.items()))
-
-
-class WindowedMean(_WindowedAggregator):
-    """Per-window online mean of one numeric payload field.
-
-    ``etype`` filters the stream (e.g. ``"VAR_COLLECT"``) and ``field``
-    names the payload attribute to average (e.g. ``"var"``).  Sealed
-    windows carry a :class:`MeanStat`.
-    """
-
-    def __init__(self, width: float, etype: str, field: str) -> None:
-        super().__init__(width)
-        self.etype = str(etype)
-        self.field = str(field)
-
-    def _accepts(self, event: Event) -> bool:
-        return event.etype == self.etype
-
-    def _new_state(self) -> list[float]:
-        return [0, 0.0]  # count, total
-
-    def _add(self, state: list[float], event: Event) -> None:
-        state[0] += 1
-        state[1] += float(getattr(event, self.field))
-
-    def _snapshot(self, state: list[float]) -> MeanStat:
-        return MeanStat(count=int(state[0]), total=state[1])
-
-
-class WindowedHistogram(_WindowedAggregator):
-    """Per-window fixed-bucket histogram of one numeric payload field.
-
-    ``edges`` are upper bounds plus an implicit overflow bucket — fixed
-    at construction, so every window (and every run) is comparable
-    bucket for bucket.  Sealed windows carry a :class:`HistStat`.
-    """
-
-    def __init__(
-        self, width: float, etype: str, field: str, edges: Sequence[float]
-    ) -> None:
-        super().__init__(width)
-        self.etype = str(etype)
-        self.field = str(field)
-        self.edges = tuple(float(e) for e in edges)
-        if not self.edges or list(self.edges) != sorted(self.edges):
-            raise ValueError("histogram edges must be sorted and non-empty")
-
-    def _accepts(self, event: Event) -> bool:
-        return event.etype == self.etype
-
-    def _new_state(self) -> list[Any]:
-        return [[0] * (len(self.edges) + 1), 0, 0.0]  # counts, count, total
-
-    def _add(self, state: list[Any], event: Event) -> None:
-        value = float(getattr(event, self.field))
-        counts = state[0]
-        state[1] += 1
-        state[2] += value
-        for i, edge in enumerate(self.edges):
-            if value <= edge:
-                counts[i] += 1
-                return
-        counts[-1] += 1
-
-    def _snapshot(self, state: list[Any]) -> HistStat:
-        return HistStat(
-            edges=self.edges,
-            counts=tuple(state[0]),
-            count=int(state[1]),
-            total=float(state[2]),
-        )
 
 
 def replay(

@@ -8,18 +8,11 @@ unstructured overlays (degree-preserving rewiring).
 """
 
 from repro.overlay.base import Overlay
-from repro.overlay.can import CANOverlay, Zone
+from repro.overlay.can import CANOverlay
 from repro.overlay.chord import ChordOverlay
 from repro.overlay.gnutella import GnutellaOverlay
 from repro.overlay.kademlia import KademliaOverlay
-from repro.overlay.ids import (
-    ring_between,
-    ring_distance_cw,
-    unique_ids,
-)
 from repro.overlay.pastry import PastryOverlay
-from repro.overlay.routing_modes import iterative_path_latency, recursive_path_latency
-from repro.overlay.ultrapeer import UltrapeerGnutellaOverlay
 
 __all__ = [
     "CANOverlay",
@@ -28,11 +21,4 @@ __all__ = [
     "KademliaOverlay",
     "Overlay",
     "PastryOverlay",
-    "UltrapeerGnutellaOverlay",
-    "Zone",
-    "iterative_path_latency",
-    "recursive_path_latency",
-    "ring_between",
-    "ring_distance_cw",
-    "unique_ids",
 ]

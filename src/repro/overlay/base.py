@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-import networkx as nx
 import numpy as np
 
 from repro.topology.latency import LatencyOracleBase
@@ -257,62 +256,7 @@ class Overlay:
         inv[self.embedding] = np.arange(self.n_slots, dtype=np.intp)
         return inv
 
-    # -- structural membership (join/leave extensions) -----------------------
-
-    def append_slot(self, host: int) -> int:
-        """Add a new, initially isolated slot occupied by ``host``.
-
-        Used by overlay-level join operations; the caller wires the new
-        slot's edges afterwards.  Returns the new slot index.
-        """
-        host = int(host)
-        if not 0 <= host < self.oracle.n:
-            raise ValueError(f"host {host} outside the oracle")
-        if np.any(self.embedding == host):
-            raise ValueError(f"host {host} already occupies a slot")
-        self.embedding = np.append(self.embedding, np.intp(host))
-        self._adj.append(set())
-        self.n_slots += 1
-        self.topology_version += 1
-        self.embedding_version += 1
-        return self.n_slots - 1
-
-    def pop_slot(self, slot: int) -> int:
-        """Remove ``slot`` entirely, returning the host that occupied it.
-
-        The slot must be isolated (callers cut or patch its edges first —
-        see :meth:`GnutellaOverlay.leave`).  The last slot is renumbered
-        into the vacated index, so callers holding slot references must
-        treat this as invalidating them (the same contract as
-        ``list.pop`` with swap-remove).
-        """
-        self._check_slot(slot)
-        if self._adj[slot]:
-            raise ValueError(f"slot {slot} still has {len(self._adj[slot])} edges")
-        host = int(self.embedding[slot])
-        last = self.n_slots - 1
-        if slot != last:
-            # move the last slot into the hole, rewriting its edges
-            for nbr in sorted(self._adj[last]):
-                self._adj[nbr].discard(last)
-                self._adj[nbr].add(slot)
-            self._adj[slot] = self._adj[last]
-            self.embedding[slot] = self.embedding[last]
-        self._adj.pop()
-        self.embedding = self.embedding[:last]
-        self.n_slots = last
-        self.topology_version += 1
-        self.embedding_version += 1
-        return host
-
-    # -- views / export ------------------------------------------------------
-
-    def to_networkx(self) -> nx.Graph:
-        """Logical graph as a :class:`networkx.Graph` (slots as nodes)."""
-        g = nx.Graph()
-        g.add_nodes_from(range(self.n_slots))
-        g.add_edges_from(self.iter_edges())
-        return g
+    # -- views ---------------------------------------------------------------
 
     def is_connected(self) -> bool:
         """BFS connectivity check on the logical graph."""

@@ -89,11 +89,6 @@ class KademliaOverlay(Overlay):
 
     # -- construction ----------------------------------------------------
 
-    def _bucket_index(self, u: int, other: int) -> int:
-        """Shared-prefix length of the two slots' ids (= bucket index)."""
-        x = int(self.ids[u]) ^ int(self.ids[other])
-        return self.bits - x.bit_length()
-
     def _build_buckets(self) -> None:
         n = self.n_slots
         ids = self.ids
@@ -181,26 +176,6 @@ class KademliaOverlay(Overlay):
 
     def lookup_latency(self, src: int, key: int, node_delay: np.ndarray | None = None) -> float:
         return self.path_latency(self.route(src, key), node_delay)
-
-    def lookup_latencies(
-        self,
-        queries: np.ndarray,
-        node_delay: np.ndarray | None = None,
-    ) -> np.ndarray:
-        queries = np.asarray(queries)
-        if queries.ndim != 2 or queries.shape[1] != 2:
-            raise ValueError("queries must be (k, 2) rows of (src, key)")
-        out = np.empty(len(queries))
-        for i, (src, key) in enumerate(queries):
-            out[i] = self.lookup_latency(int(src), int(key), node_delay)
-        return out
-
-    def mean_lookup_latency(
-        self,
-        queries: np.ndarray,
-        node_delay: np.ndarray | None = None,
-    ) -> float:
-        return float(self.lookup_latencies(queries, node_delay).mean())
 
     def copy(self) -> "KademliaOverlay":
         clone = KademliaOverlay.__new__(KademliaOverlay)

@@ -13,42 +13,18 @@ landmark triangulation (:mod:`~repro.topology.landmark`), selected via
 """
 
 from repro.topology.factory import ORACLE_BACKENDS, build_oracle
-from repro.topology.landmark import LandmarkOracle
-from repro.topology.latency import LatencyOracle, LatencyOracleBase
-from repro.topology.vivaldi import VivaldiOracle
-from repro.topology.waxman import WaxmanParams, generate_waxman
-from repro.topology.presets import (
-    TS_LARGE,
-    TS_SMALL,
-    build_preset,
-    preset_params,
-    ts_large,
-    ts_small,
-)
-from repro.topology.transit_stub import (
-    LinkLatencies,
-    PhysicalNetwork,
-    TransitStubParams,
-    generate_transit_stub,
-)
+from repro.topology.latency import LatencyOracle
+from repro.topology.presets import build_preset, ts_large, ts_small
+from repro.topology.transit_stub import PhysicalNetwork, TransitStubParams, generate_transit_stub
 
 __all__ = [
-    "LandmarkOracle",
     "LatencyOracle",
-    "LatencyOracleBase",
     "ORACLE_BACKENDS",
-    "VivaldiOracle",
-    "WaxmanParams",
-    "build_oracle",
-    "generate_waxman",
-    "LinkLatencies",
     "PhysicalNetwork",
     "TransitStubParams",
-    "TS_LARGE",
-    "TS_SMALL",
+    "build_oracle",
     "build_preset",
     "generate_transit_stub",
-    "preset_params",
     "ts_large",
     "ts_small",
 ]

@@ -1,31 +1,11 @@
 """Workload generators: lookup streams, churn, node heterogeneity."""
 
 from repro.workloads.churn import ChurnConfig, ChurnProcess
-from repro.workloads.heterogeneity import (
-    BimodalDelay,
-    bimodal_processing_delay,
-    capacity_weights_from_delay,
-)
-from repro.workloads.objects import ObjectCatalog, build_catalog, replica_queries
-from repro.workloads.zipf import zipf_ranks, zipf_target_pairs
-from repro.workloads.lookups import (
-    biased_target_pairs,
-    uniform_keys,
-    uniform_pairs,
-)
+from repro.workloads.heterogeneity import BimodalDelay, bimodal_processing_delay
 
 __all__ = [
     "BimodalDelay",
-    "ObjectCatalog",
-    "build_catalog",
-    "replica_queries",
     "ChurnConfig",
     "ChurnProcess",
-    "biased_target_pairs",
     "bimodal_processing_delay",
-    "capacity_weights_from_delay",
-    "uniform_keys",
-    "uniform_pairs",
-    "zipf_ranks",
-    "zipf_target_pairs",
 ]

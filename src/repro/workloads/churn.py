@@ -12,8 +12,8 @@ protocol engine is notified so its churn rules (timer reset, queue-front
 insertion, warm-up restart) fire.
 
 The replacement simplification is recorded in DESIGN.md §5.  Structural
-join/leave (zone takeover, finger repair) is exercised separately by the
-overlay test suites.
+join/leave (zone takeover, finger repair) is not modelled: slot counts
+are fixed at build.
 """
 
 from __future__ import annotations

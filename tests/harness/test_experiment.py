@@ -44,6 +44,28 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ExperimentConfig(overlay_kind="gnutella", pns=True)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # sampled nothing: the mean would be the inf failure sentinel
+            dict(lookups_per_sample=0),
+            dict(sample_interval=0.0),
+            dict(sample_interval=-150.0),
+            dict(sample_interval=float("nan")),
+            dict(duration=float("nan")),
+            dict(duration=float("inf")),
+            dict(flood_ttl=-1),
+            dict(heterogeneous=True, fast_fraction=-0.1),
+            dict(heterogeneous=True, fast_fraction=1.5),
+            dict(heterogeneous=True, fast_lookup_fraction=-0.5),
+            dict(heterogeneous=True, fast_lookup_fraction=2.0),
+        ],
+        ids=lambda o: ",".join(f"{k}={v}" for k, v in o.items()),
+    )
+    def test_bad_values_rejected_at_construction(self, overrides):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**{**FAST, **overrides})
+
     def test_but_overrides(self):
         cfg = ExperimentConfig(**FAST)
         cfg2 = cfg.but(n_overlay=100)

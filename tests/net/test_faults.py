@@ -92,16 +92,16 @@ class TestLoss:
         with pytest.raises(ValueError):
             _faulty(gnutella, loss=1.0)
         with pytest.raises(ValueError):
-            _faulty(gnutella, extra_delay_ms=-1.0)
+            _faulty(gnutella, jitter_ms=-1.0)
         with pytest.raises(ValueError):
             _faulty(gnutella, reorder_prob=1.5)
 
 
 class TestDelayAndReorder:
     def test_extra_delay_shifts_delivery(self, gnutella):
-        sim, tr = _faulty(gnutella, extra_delay_ms=500.0)
+        sim, tr = _faulty(gnutella)
         tr.register(1, lambda m: None)
-        tr.send(_ping())
+        tr.send(_ping(), extra_delay_ms=500.0)
         sim.run()
         assert sim.now >= 0.5
 

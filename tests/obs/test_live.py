@@ -18,12 +18,7 @@ from repro.harness.experiment import (
 )
 from repro.harness.sweep import run_sweep
 from repro.obs.events import ProbeEvent, VarCollectEvent
-from repro.obs.live import (
-    WindowedCounts,
-    WindowedHistogram,
-    WindowedMean,
-    replay,
-)
+from repro.obs.live import WindowedCounts, replay
 from repro.obs.trace import Tracer
 
 TRACED = ExperimentConfig(
@@ -81,29 +76,6 @@ class TestWindowing:
         counts = WindowedCounts(10.0)
         counts.finish(100.0)
         assert counts.windows == []
-
-    def test_mean_filters_by_etype_and_field(self):
-        mean = WindowedMean(10.0, "VAR_COLLECT", "var")
-        mean.on_event(_ev(1.0, var=2.0))
-        mean.on_event(_ev(2.0, var=4.0))
-        mean.on_event(ProbeEvent(time=3.0, u=1, s=2, cycle=0))  # ignored
-        mean.finish(10.0)
-        (window,) = mean.windows
-        assert window.value.count == 2
-        assert window.value.mean == pytest.approx(3.0)
-
-    def test_histogram_buckets_with_overflow(self):
-        hist = WindowedHistogram(10.0, "VAR_COLLECT", "var", edges=[1.0, 2.0])
-        for var in (0.5, 1.5, 99.0):
-            hist.on_event(_ev(1.0, var=var))
-        hist.finish(10.0)
-        (window,) = hist.windows
-        assert window.value.counts == (1, 1, 1)
-        assert window.value.count == 3
-
-    def test_histogram_rejects_unsorted_edges(self):
-        with pytest.raises(ValueError):
-            WindowedHistogram(10.0, "VAR_COLLECT", "var", edges=[2.0, 1.0])
 
 
 class TestStreamingTracer:

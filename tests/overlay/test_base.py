@@ -157,11 +157,6 @@ class TestSwapAndRewire:
 
 
 class TestViewsAndCopy:
-    def test_to_networkx(self, square):
-        g = square.to_networkx()
-        assert g.number_of_nodes() == 4
-        assert g.number_of_edges() == 4
-
     def test_is_connected(self, square):
         assert square.is_connected()
         square.remove_edge(0, 1)

@@ -45,11 +45,17 @@ class FakeOracle(LatencyOracleBase):
         return float(self.matrix[np.triu_indices(self.n, 1)].mean())
 
 
-def random_connected_overlay(seed: int, n_min: int = 4, n_max: int = 20) -> Overlay:
-    """Random connected overlay with a random latency space."""
+def random_connected_overlay(
+    seed: int, n_min: int = 4, n_max: int = 20, *, n_spare: int = 0
+) -> Overlay:
+    """Random connected overlay with a random latency space.
+
+    ``n_spare`` extra oracle hosts (indices ``n..n+n_spare-1``) stay
+    outside the embedding, as replacements for churn.
+    """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(n_min, n_max + 1))
-    oracle = FakeOracle(n, rng)
+    oracle = FakeOracle(n + n_spare, rng)
     ov = Overlay(oracle, rng.permutation(n))
     order = rng.permutation(n)
     for i in range(1, n):

@@ -227,8 +227,7 @@ def _exception_safe(body: list[ast.stmt], guarded: bool = False) -> bool:
 
 #: mirrors rule D5's mutator inventory (kept in sync by test_flow.py).
 OVERLAY_MUTATORS = frozenset(
-    {"add_edge", "remove_edge", "rewire", "swap_embedding",
-     "append_slot", "pop_slot"}
+    {"add_edge", "remove_edge", "rewire", "swap_embedding"}
 )
 OVERLAY_ATTRS = frozenset(
     {"embedding", "embedding_version", "topology_version", "_adj", "_n_edges"}
